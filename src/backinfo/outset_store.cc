@@ -4,14 +4,38 @@
 
 namespace dgc {
 
+namespace {
+
+// unordered_*::reserve(n) rehashes to fit n even when the table already has
+// more buckets, so a small hint would shrink a table sized by an earlier,
+// larger trace. Only ever grow.
+template <typename Table>
+void ReserveAtLeast(Table& table, std::size_t n) {
+  if (static_cast<double>(n) >
+      table.max_load_factor() * static_cast<double>(table.bucket_count())) {
+    table.reserve(n);
+  }
+}
+
+}  // namespace
+
+void OutsetStore::Clear() {
+  sets_.resize(1);  // id 0 = empty set
+  by_id_.clear();
+  by_id_.insert(kEmpty);
+  singletons_.clear();
+  union_memo_.clear();
+  stats_ = Stats{};
+}
+
 void OutsetStore::Reserve(std::size_t expected_suspects) {
   if (expected_suspects == 0) return;
   sets_.reserve(sets_.size() + expected_suspects);
-  by_id_.reserve(expected_suspects);
-  singletons_.reserve(expected_suspects);
+  ReserveAtLeast(by_id_, expected_suspects);
+  ReserveAtLeast(singletons_, expected_suspects);
   // Each suspect contributes at most a handful of distinct pair-unions in
   // practice (shared subgraphs are memoized); 2x is a comfortable ceiling.
-  union_memo_.reserve(2 * expected_suspects);
+  ReserveAtLeast(union_memo_, 2 * expected_suspects);
 }
 
 OutsetStore::OutsetId OutsetStore::Singleton(ObjectId ref) {

@@ -6,6 +6,13 @@
 //      set in canonical (sorted) form and hands out small ids;
 //   2. unions are memoized — a hash table maps pairs of outset ids to the id
 //      of their union, so repeating a union costs O(1).
+//
+// The store is scratch for one local trace, as in §5.2: the collector
+// Clear()s it before each trace's suspect phase, so ids, memoized unions and
+// stats describe that trace alone. Nothing keeps an OutsetId past the trace
+// (the back information copies the canonical vectors). Clear() keeps the
+// hash tables' bucket arrays, so a site's steady-state traces rehash
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +41,15 @@ class OutsetStore {
   OutsetStore(const OutsetStore&) = delete;
   OutsetStore& operator=(const OutsetStore&) = delete;
 
+  /// Empties the store back to {empty set} and zeroes its stats, keeping
+  /// every table's allocated buckets.
+  void Clear();
+
   /// Pre-sizes the hash tables for roughly `expected_suspects` suspected
   /// inrefs so a trace-sized workload does not pay rehash churn. Outset
   /// counts and memoized unions both grow with the suspect count, so one
-  /// knob sizes all three tables.
+  /// hint sizes all three tables. Grow-only: a smaller hint than a table
+  /// already holds never rehashes it down.
   void Reserve(std::size_t expected_suspects);
 
   /// Interns {ref} and returns its id.
@@ -56,6 +68,11 @@ class OutsetStore {
   }
 
   [[nodiscard]] std::size_t distinct_outsets() const { return sets_.size(); }
+
+  /// Buckets of the union memo, the largest table (for tests).
+  [[nodiscard]] std::size_t union_memo_buckets() const {
+    return union_memo_.bucket_count();
+  }
 
   struct Stats {
     std::uint64_t unions_requested = 0;

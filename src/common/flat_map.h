@@ -146,11 +146,19 @@ class FlatMap {
   }
 
   /// Removes every entry matching the predicate in one linear pass (the
-  /// iterator-erase loop would be quadratic). Returns the count removed.
+  /// iterator-erase loop would be quadratic). The predicate sees every entry
+  /// once, in key order, and may update the mapped value of an entry it
+  /// keeps. Returns the count removed.
   template <typename Pred>
   std::size_t erase_if(Pred pred) {
-    const std::size_t removed = std::erase_if(
-        entries_, [&pred](const value_type& entry) { return pred(entry); });
+    auto kept = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (pred(*it)) continue;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+    const auto removed = static_cast<std::size_t>(entries_.end() - kept);
+    entries_.erase(kept, entries_.end());
     stats_.erases += removed;
     return removed;
   }

@@ -189,7 +189,7 @@ void Site::ApplyTransferBarrier(ObjectId local_ref) {
   if (inref->clean(config_.suspicion_threshold)) return;
   ++stats_.transfer_barrier_hits;
   inref->clean_override = true;
-  if (pending_trace_.has_value()) window_cleaned_inrefs_.insert(local_ref);
+  if (pending_trace_.has_value()) inref->window_cleaned = true;
   back_tracer_.OnIorefCleaned(IorefKind::kInref, local_ref);
   // Clean the outrefs in i.outset, using the current (old) copy; the replay
   // into the new copy happens when the in-flight trace applies (§6.2).
@@ -200,11 +200,11 @@ void Site::ApplyTransferBarrier(ObjectId local_ref) {
 }
 
 void Site::CleanOutref(ObjectId remote_ref) {
-  if (pending_trace_.has_value()) window_cleaned_outrefs_.insert(remote_ref);
   OutrefEntry* entry = tables_.FindOutref(remote_ref);
   if (entry == nullptr) return;  // trimmed since the outset was computed
   const bool was_clean = entry->clean();
   entry->clean_override = true;
+  if (pending_trace_.has_value()) entry->window_cleaned = true;
   if (!was_clean) {
     back_tracer_.OnIorefCleaned(IorefKind::kOutref, remote_ref);
   }
@@ -609,8 +609,8 @@ void Site::CrashRestart() {
   // acceleration state: the restarted collector must re-derive everything
   // from the durable heap and tables with a full trace.
   collector_.InvalidateCache();
-  window_cleaned_inrefs_.clear();
-  window_cleaned_outrefs_.clear();
+  for (auto& [obj, entry] : tables_.inrefs()) entry.window_cleaned = false;
+  for (auto& [ref, entry] : tables_.outrefs()) entry.window_cleaned = false;
   back_tracer_.DropVolatileState();
   session_continuations_.clear();
   fetch_continuations_.clear();
@@ -636,67 +636,84 @@ void Site::ReannounceOutrefs() {
 }
 
 void Site::ApplyTraceResult(TraceResult result) {
+  // Both tables and both snapshots are sorted by ObjectId, so each step is
+  // one merge-walk over a table and its snapshot.
+  //
   // 1. Inref cleanliness: overrides drop, except those the transfer barrier
-  //    set while this trace was in flight (remembered cleanings, §6.2).
-  for (const ObjectId obj : result.snapshot_inrefs) {
-    InrefEntry* entry = tables_.FindInref(obj);
-    if (entry == nullptr) continue;
-    if (!window_cleaned_inrefs_.contains(obj)) entry->clean_override = false;
+  //    set while this trace was in flight (remembered cleanings, §6.2),
+  //    which step 3 replays. Snapshot inrefs removed mid-trace are skipped.
+  std::vector<ObjectId> window_cleaned_inrefs;
+  auto snap_in = result.snapshot_inrefs.cbegin();
+  for (auto& [obj, entry] : tables_.inrefs()) {
+    if (entry.window_cleaned) {
+      entry.window_cleaned = false;
+      window_cleaned_inrefs.push_back(obj);
+      continue;
+    }
+    while (snap_in != result.snapshot_inrefs.cend() && *snap_in < obj) {
+      ++snap_in;
+    }
+    if (snap_in != result.snapshot_inrefs.cend() && *snap_in == obj) {
+      entry.clean_override = false;
+    }
   }
 
-  // 2. Outrefs: apply distances and cleanliness; trim the unreached.
-  // Periodically resend everything so state lost to dropped messages or
-  // crashed sites heals once connectivity returns.
+  // 2. Outrefs: apply distances and cleanliness; trim the unreached in the
+  // same pass. Periodically resend everything so state lost to dropped
+  // messages or crashed sites heals once connectivity returns.
   const bool full_refresh =
       config_.update_refresh_period > 0 &&
       result.epoch % config_.update_refresh_period == 0;
   FlatMap<SiteId, UpdateMsg> updates;
-  for (const ObjectId ref : result.snapshot_outrefs) {
-    OutrefEntry* entry = tables_.FindOutref(ref);
-    DGC_CHECK_MSG(entry != nullptr, "snapshot outref vanished: " << ref);
-    const bool window_clean = window_cleaned_outrefs_.contains(ref);
-    if (result.outrefs_untraced.contains(ref)) {
-      if (entry->pin_count > 0 || window_clean) {
-        // Kept alive by the insert barrier or a mid-trace transfer barrier:
-        // stays clean; state untouched until the next trace sees the paths.
-        continue;
-      }
-      updates[ref.site].entries.push_back(UpdateEntry{ref, true, 0});
-      tables_.RemoveOutref(ref);
-      ++stats_.outrefs_trimmed;
-      continue;
-    }
-    entry->distance = result.outref_distances.at(ref);
-    entry->traced_clean = result.outrefs_clean.contains(ref);
-    if (!window_clean) entry->clean_override = false;
-    if (entry->distance != entry->last_reported || full_refresh) {
-      updates[ref.site].entries.push_back(
-          UpdateEntry{ref, false, entry->distance});
-      entry->last_reported = entry->distance;
-    }
-  }
+  auto outcome = result.outrefs.cbegin();
+  const auto outcomes_end = result.outrefs.cend();
+  stats_.outrefs_trimmed += tables_.RemoveOutrefsIf(
+      [&](ObjectId ref, OutrefEntry& entry) {
+        const bool window_clean = entry.window_cleaned;
+        entry.window_cleaned = false;
+        DGC_CHECK_MSG(outcome == outcomes_end || outcome->ref >= ref,
+                      "snapshot outref vanished: " << outcome->ref);
+        if (outcome == outcomes_end || outcome->ref != ref) {
+          return false;  // created mid-trace: fresh state untouched
+        }
+        const OutrefOutcome& out = *outcome++;
+        if (!out.reached) {
+          // Kept alive by the insert barrier or a mid-trace transfer
+          // barrier: stays clean; state untouched until the next trace sees
+          // the paths.
+          if (entry.pin_count > 0 || window_clean) return false;
+          updates[ref.site].entries.push_back(UpdateEntry{ref, true, 0});
+          return true;
+        }
+        entry.distance = out.distance;
+        entry.traced_clean = out.clean;
+        if (!window_clean) entry.clean_override = false;
+        if (entry.distance != entry.last_reported || full_refresh) {
+          updates[ref.site].entries.push_back(
+              UpdateEntry{ref, false, entry.distance});
+          entry.last_reported = entry.distance;
+        }
+        return false;
+      });
+  DGC_CHECK_MSG(outcome == outcomes_end,
+                "snapshot outref vanished: " << outcome->ref);
 
   // 3. Swap in the new back information and replay remembered barrier
   //    cleanings against it (§6.2).
   back_info_ = std::move(result.back_info);
-  for (const ObjectId inref_obj : window_cleaned_inrefs_) {
-    if (InrefEntry* entry = tables_.FindInref(inref_obj)) {
-      entry->clean_override = true;
-      const auto outset = back_info_.inref_outsets.find(inref_obj);
-      if (outset != back_info_.inref_outsets.end()) {
-        for (const ObjectId outref : outset->second) {
-          if (OutrefEntry* out = tables_.FindOutref(outref)) {
-            if (!out->clean()) {
-              back_tracer_.OnIorefCleaned(IorefKind::kOutref, outref);
-            }
-            out->clean_override = true;
-          }
+  for (const ObjectId inref_obj : window_cleaned_inrefs) {
+    tables_.FindInref(inref_obj)->clean_override = true;
+    const auto outset = back_info_.inref_outsets.find(inref_obj);
+    if (outset == back_info_.inref_outsets.end()) continue;
+    for (const ObjectId outref : outset->second) {
+      if (OutrefEntry* out = tables_.FindOutref(outref)) {
+        if (!out->clean()) {
+          back_tracer_.OnIorefCleaned(IorefKind::kOutref, outref);
         }
+        out->clean_override = true;
       }
     }
   }
-  window_cleaned_inrefs_.clear();
-  window_cleaned_outrefs_.clear();
 
   // 4. Sweep. Everything here was unreachable when the trace began; garbage
   //    cannot be resurrected, so reclamation is safe at apply time.

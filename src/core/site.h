@@ -289,9 +289,9 @@ class Site {
   BackTracer back_tracer_;
 
   /// Non-atomic local trace state (Section 6.2).
+  /// Barrier cleanings made while it is in flight are flagged on the
+  /// entries themselves (InrefEntry/OutrefEntry::window_cleaned).
   std::optional<TraceResult> pending_trace_;
-  std::set<ObjectId> window_cleaned_inrefs_;
-  std::set<ObjectId> window_cleaned_outrefs_;
   /// Bumped by CrashRestart so a stale scheduled trace-apply is discarded.
   std::uint64_t trace_generation_ = 0;
 

@@ -12,35 +12,36 @@ namespace dgc {
 
 namespace {
 
+/// Clean for the purposes of outset membership: reached by this trace's
+/// clean phase, or pinned (insert barrier / mutator variable), which makes
+/// it forcibly clean until released. Both are already on the outref's
+/// record when the suspect phase runs.
+bool IsCleanOutref(const TraceResult& result, ObjectId remote_ref) {
+  const OutrefOutcome* outcome = result.FindOutref(remote_ref);
+  DGC_CHECK_MSG(outcome != nullptr,
+                "object holds remote ref " << remote_ref << " with no outref");
+  return outcome->clean;
+}
+
 /// Policy the suspect tracer uses to see this trace's clean results and to
 /// mark suspect objects live for the sweep.
 class SuspectEnv {
  public:
-  SuspectEnv(Heap& heap, const RefTables& tables, std::uint64_t epoch,
-             const TraceResult& result)
-      : heap_(heap), tables_(tables), epoch_(epoch), result_(result) {}
+  SuspectEnv(Heap& heap, std::uint64_t epoch, const TraceResult& result)
+      : heap_(heap), epoch_(epoch), result_(result) {}
 
   [[nodiscard]] bool ObjectIsCleanMarked(ObjectId id) const {
     return heap_.clean_epoch(id) == epoch_;
   }
 
-  /// Clean for the purposes of outset membership: reached by this trace's
-  /// clean phase, or pinned (insert barrier / mutator variable), which makes
-  /// it forcibly clean until released.
   [[nodiscard]] bool OutrefIsClean(ObjectId remote_ref) const {
-    if (result_.outrefs_clean.contains(remote_ref)) return true;
-    const OutrefEntry* entry = tables_.FindOutref(remote_ref);
-    DGC_CHECK_MSG(entry != nullptr,
-                  "object holds remote ref " << remote_ref
-                                             << " with no outref");
-    return entry->pin_count > 0;
+    return IsCleanOutref(result_, remote_ref);
   }
 
   void OnSuspectMarked(ObjectId id) { heap_.set_mark_epoch(id, epoch_); }
 
  private:
   Heap& heap_;
-  const RefTables& tables_;
   std::uint64_t epoch_;
   const TraceResult& result_;
 };
@@ -50,34 +51,36 @@ class SuspectEnv {
 /// pass ran), and suspect marking is a no-op (the sweep reads labels too).
 class LabelEnv {
  public:
-  LabelEnv(const DistanceLabels& labels, const RefTables& tables,
-           Distance threshold, const TraceResult& result)
-      : labels_(labels),
-        tables_(tables),
-        threshold_(threshold),
-        result_(result) {}
+  LabelEnv(const DistanceLabels& labels, Distance threshold,
+           const TraceResult& result)
+      : labels_(labels), threshold_(threshold), result_(result) {}
 
   [[nodiscard]] bool ObjectIsCleanMarked(ObjectId id) const {
     return labels_.LabelOfSlot(Heap::SlotOfIndex(id.index)) <= threshold_;
   }
 
   [[nodiscard]] bool OutrefIsClean(ObjectId remote_ref) const {
-    if (result_.outrefs_clean.contains(remote_ref)) return true;
-    const OutrefEntry* entry = tables_.FindOutref(remote_ref);
-    DGC_CHECK_MSG(entry != nullptr,
-                  "object holds remote ref " << remote_ref
-                                             << " with no outref");
-    return entry->pin_count > 0;
+    return IsCleanOutref(result_, remote_ref);
   }
 
   void OnSuspectMarked(ObjectId) {}
 
  private:
   const DistanceLabels& labels_;
-  const RefTables& tables_;
   Distance threshold_;
   const TraceResult& result_;
 };
+
+/// Appends the snapshot record for outref `ref`. A pinned outref is an
+/// application root / insert-barrier retention: clean, distance 1,
+/// regardless of whether the heap reaches it.
+void StartOutcome(TraceResult& result, ObjectId ref, bool pinned) {
+  OutrefOutcome& outcome = result.outrefs.emplace_back(OutrefOutcome{ref});
+  if (pinned) {
+    outcome.Reach(1);
+    outcome.clean = true;
+  }
+}
 
 std::uint64_t WallNanosSince(
     const std::chrono::steady_clock::time_point& start) {
@@ -113,10 +116,10 @@ void LocalCollector::MarkCleanFrom(ObjectId root, Distance distance,
       if (target.site != self) {
         // First touch wins the minimum distance because roots are processed
         // in increasing distance order.
-        auto [it, inserted] =
-            result.outref_distances.emplace(target, outref_distance);
-        if (!inserted) it->second = std::min(it->second, outref_distance);
-        result.outrefs_clean.insert(target);
+        if (OutrefOutcome* outcome = result.FindOutref(target)) {
+          outcome->Reach(outref_distance);
+          outcome->clean = true;
+        }
         continue;
       }
       const Heap::Cell cell = heap_.GetCell(target);
@@ -184,7 +187,7 @@ LocalCollector::ReuseLevel LocalCollector::ClassifyReuse(
 TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
   TraceResult result = cache_.result;
   result.epoch = epoch_;
-  result.outref_distances = cache_.clean_distances;
+  result.outrefs = cache_.clean_outrefs;
   result.stats.objects_retraced = 0;
   result.stats.quiescent_skips = 0;
   // No marking happened this run; the cached trace's schedule-dependent
@@ -204,22 +207,24 @@ TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
     jobs.emplace_back(NextDistance(in.distance), &it->second);
   }
   result.stats.outsets_reused = jobs.size();
+  FoldOutsets(jobs, result);
+  return result;
+}
+
+void LocalCollector::FoldOutsets(
+    const std::vector<std::pair<Distance, const std::vector<ObjectId>*>>& jobs,
+    TraceResult& result) const {
   // Partitioning has fixed pool overhead; only worth it past a handful of
   // suspects (the min-merge is identical either way).
   constexpr std::size_t kParallelFoldMin = 16;
   const std::size_t mark_threads = tables_.config().mark_threads;
   if (mark_threads > 1 && pool_ != nullptr && jobs.size() >= kParallelFoldMin) {
-    ParallelFoldOutsets(jobs, *pool_, mark_threads, result.outref_distances);
-  } else {
-    for (const auto& [outref_distance, outset] : jobs) {
-      for (const ObjectId outref : *outset) {
-        auto [dit, inserted] =
-            result.outref_distances.emplace(outref, outref_distance);
-        if (!inserted) dit->second = std::min(dit->second, outref_distance);
-      }
-    }
+    ParallelFoldOutsets(jobs, *pool_, mark_threads, result.outrefs);
+    return;
   }
-  return result;
+  for (const auto& [outref_distance, outset] : jobs) {
+    result.ReachAll(*outset, outref_distance);
+  }
 }
 
 void LocalCollector::CheckEquivalent(const TraceResult& reused,
@@ -230,11 +235,8 @@ void LocalCollector::CheckEquivalent(const TraceResult& reused,
                 "incremental trace diverged from full trace on site "       \
                     << site << " epoch " << epoch_ << ": field " << #field)
   DGC_DIFF_FIELD(epoch);
-  DGC_DIFF_FIELD(snapshot_outrefs);
+  DGC_DIFF_FIELD(outrefs);
   DGC_DIFF_FIELD(snapshot_inrefs);
-  DGC_DIFF_FIELD(outref_distances);
-  DGC_DIFF_FIELD(outrefs_clean);
-  DGC_DIFF_FIELD(outrefs_untraced);
   DGC_DIFF_FIELD(objects_to_free);
   DGC_DIFF_FIELD(back_info);
 #undef DGC_DIFF_FIELD
@@ -244,7 +246,7 @@ void LocalCollector::InvalidateCache() {
   cache_.valid = false;
   cache_.result = TraceResult{};
   cache_.inputs = TraceInputs{};
-  cache_.clean_distances.clear();
+  cache_.clean_outrefs.clear();
   heap_.InvalidateDirtyTracking();
   // The label plane is volatile acceleration state too: after a crash
   // restart the next trace must re-derive it with a full propagation.
@@ -264,18 +266,13 @@ TraceResult LocalCollector::RunFullTrace(
   // traces, so this is amortised to nothing in steady state).
   mark_stack_.reserve(heap_.object_count());
 
+  result.outrefs.reserve(tables_.outrefs().size());
   for (const auto& [ref, entry] : tables_.outrefs()) {
-    result.snapshot_outrefs.insert(ref);
-    // A pinned outref is an application root / insert-barrier retention:
-    // clean, distance 1, regardless of whether the heap reaches it.
-    if (entry.pin_count > 0) {
-      result.outref_distances.emplace(ref, 1);
-      result.outrefs_clean.insert(ref);
-    }
+    StartOutcome(result, ref, entry.pin_count > 0);
   }
+  result.snapshot_inrefs.reserve(tables_.inrefs().size());
   for (const auto& [obj, entry] : tables_.inrefs()) {
-    (void)entry;
-    result.snapshot_inrefs.insert(obj);
+    result.snapshot_inrefs.push_back(obj);
   }
 
   // ---- Phase 1: clean marking, roots in increasing distance order. ----
@@ -332,16 +329,15 @@ TraceResult LocalCollector::RunFullTrace(
 
   // The refold reuse level rebuilds distances from this phase-1 base, so
   // capture it before suspect contributions land on top.
-  std::map<ObjectId, Distance> clean_distances;
-  if (inputs_for_cache != nullptr) clean_distances = result.outref_distances;
+  std::vector<OutrefOutcome> clean_outrefs;
+  if (inputs_for_cache != nullptr) clean_outrefs = result.outrefs;
 
   // ---- Phase 2: suspected inrefs — bottom-up outset computation (§5.2).
-  // store_ persists across traces: recurring outsets intern to their old
-  // ids and previously memoized unions stay hits, so intern_bytes_saved
-  // accumulates across epochs.
+  // store_ is scratch for this trace alone.
+  store_.Clear();
   store_.Reserve(
       static_cast<std::size_t>(ordered_inrefs.end() - clean_limit));
-  SuspectEnv env(heap_, tables_, epoch_, result);
+  SuspectEnv env(heap_, epoch_, result);
   BottomUpOutsetComputer<SuspectEnv> computer(heap_, store_, env);
   for (auto it = clean_limit; it != ordered_inrefs.end(); ++it) {
     const auto [distance, obj] = *it;
@@ -353,12 +349,7 @@ TraceResult LocalCollector::RunFullTrace(
     // empty outset and is dropped from the back information: it can never
     // appear in a suspected outref's inset (auxiliary invariant of §6.1.1).
     if (heap_.clean_epoch(obj) == epoch_) continue;
-    const Distance outref_distance = NextDistance(distance);
-    for (const ObjectId outref : outset) {
-      auto [dit, inserted] =
-          result.outref_distances.emplace(outref, outref_distance);
-      if (!inserted) dit->second = std::min(dit->second, outref_distance);
-    }
+    result.ReachAll(outset, NextDistance(distance));
     if (!outset.empty()) {
       result.back_info.inref_outsets.emplace(obj, outset);
     }
@@ -400,11 +391,6 @@ TraceResult LocalCollector::RunFullTrace(
     });
   }
   result.stats.objects_swept = result.objects_to_free.size();
-  for (const ObjectId ref : result.snapshot_outrefs) {
-    if (!result.outref_distances.contains(ref)) {
-      result.outrefs_untraced.insert(ref);
-    }
-  }
 
   if (inputs_for_cache != nullptr) {
     // This trace observed the whole heap: the dirty sets are consumed, and
@@ -413,7 +399,7 @@ TraceResult LocalCollector::RunFullTrace(
     cache_.valid = true;
     cache_.inputs = *inputs_for_cache;
     cache_.result = result;
-    cache_.clean_distances = std::move(clean_distances);
+    cache_.clean_outrefs = std::move(clean_outrefs);
   }
   return result;
 }
@@ -441,22 +427,19 @@ DistanceLabels::ContributionMap LocalCollector::DesiredContributions(
 }
 
 TraceResult LocalCollector::ServeFromLabels(
-    const TraceInputs& inputs,
-    std::map<ObjectId, Distance>* clean_distances_out) {
+    const TraceInputs& inputs, std::vector<OutrefOutcome>* clean_outrefs_out) {
   const CollectorConfig& config = tables_.config();
   const Distance threshold = config.suspicion_threshold;
   TraceResult result;
   result.epoch = epoch_;
 
+  result.outrefs.reserve(inputs.outrefs.size());
   for (const TraceInputs::Outref& out : inputs.outrefs) {
-    result.snapshot_outrefs.insert(out.ref);
-    if (out.pinned) {
-      result.outref_distances.emplace(out.ref, 1);
-      result.outrefs_clean.insert(out.ref);
-    }
+    StartOutcome(result, out.ref, out.pinned);
   }
+  result.snapshot_inrefs.reserve(inputs.inrefs.size());
   for (const TraceInputs::Inref& in : inputs.inrefs) {
-    result.snapshot_inrefs.insert(in.obj);
+    result.snapshot_inrefs.push_back(in.obj);
   }
 
   // Phase-1 equivalent, no marking: a clean outref's distance is one past
@@ -464,14 +447,12 @@ TraceResult LocalCollector::ServeFromLabels(
   // minimum key (phase 1 scans every object once, during the traversal of
   // its minimum-distance claiming root).
   for (const auto& [ref, by_label] : labels_.outref_support()) {
-    const Distance distance = NextDistance(by_label.begin()->first);
-    auto [it, inserted] = result.outref_distances.emplace(ref, distance);
-    if (!inserted) it->second = std::min(it->second, distance);
-    result.outrefs_clean.insert(ref);
+    if (OutrefOutcome* outcome = result.FindOutref(ref)) {
+      outcome->Reach(NextDistance(by_label.begin()->first));
+      outcome->clean = true;
+    }
   }
-  if (clean_distances_out != nullptr) {
-    *clean_distances_out = result.outref_distances;
-  }
+  if (clean_outrefs_out != nullptr) *clean_outrefs_out = result.outrefs;
 
   // Phase-2 equivalent: recompute suspect outsets with cleanliness read off
   // the labels. Same computer, same increasing-distance order.
@@ -481,8 +462,9 @@ TraceResult LocalCollector::ServeFromLabels(
     suspects.emplace_back(in.distance, in.obj);
   }
   std::sort(suspects.begin(), suspects.end());
+  store_.Clear();
   store_.Reserve(suspects.size());
-  LabelEnv env(labels_, tables_, threshold, result);
+  LabelEnv env(labels_, threshold, result);
   BottomUpOutsetComputer<LabelEnv> computer(heap_, store_, env);
   struct Traced {
     Distance outref_distance;
@@ -512,19 +494,7 @@ TraceResult LocalCollector::ServeFromLabels(
     jobs.emplace_back(t.outref_distance, &outset);
     result.back_info.inref_outsets.emplace(t.obj, outset);
   }
-  constexpr std::size_t kParallelFoldMin = 16;
-  const std::size_t mark_threads = config.mark_threads;
-  if (mark_threads > 1 && pool_ != nullptr && jobs.size() >= kParallelFoldMin) {
-    ParallelFoldOutsets(jobs, *pool_, mark_threads, result.outref_distances);
-  } else {
-    for (const auto& [outref_distance, outset] : jobs) {
-      for (const ObjectId outref : *outset) {
-        auto [dit, inserted] =
-            result.outref_distances.emplace(outref, outref_distance);
-        if (!inserted) dit->second = std::min(dit->second, outref_distance);
-      }
-    }
-  }
+  FoldOutsets(jobs, result);
 
   if (config.incremental_trace && cache_.valid) {
     SiteBackInfo patched =
@@ -549,11 +519,6 @@ TraceResult LocalCollector::ServeFromLabels(
     }
   }
   result.stats.objects_swept = result.objects_to_free.size();
-  for (const ObjectId ref : result.snapshot_outrefs) {
-    if (!result.outref_distances.contains(ref)) {
-      result.outrefs_untraced.insert(ref);
-    }
-  }
 
   result.stats.suspect_objects_traced = computer.stats().objects_traced;
   result.stats.suspect_edges_scanned = computer.stats().edges_scanned;
@@ -586,7 +551,7 @@ TraceResult LocalCollector::RunWithLabels(
     const ReuseLevel level = config.incremental_trace
                                  ? ClassifyReuse(inputs)
                                  : ReuseLevel::kNone;
-    std::map<ObjectId, Distance> clean_distances;
+    std::vector<OutrefOutcome> clean_outrefs;
     switch (level) {
       case ReuseLevel::kQuiescent:
         result = cache_.result;
@@ -603,7 +568,7 @@ TraceResult LocalCollector::RunWithLabels(
         break;
       case ReuseLevel::kNone:
         result = ServeFromLabels(
-            inputs, config.incremental_trace ? &clean_distances : nullptr);
+            inputs, config.incremental_trace ? &clean_outrefs : nullptr);
         served = true;
         break;
     }
@@ -623,11 +588,11 @@ TraceResult LocalCollector::RunWithLabels(
       if (served) {
         // The label serve observed the whole heap (through the labels), so
         // the cache now describes the present input state exactly.
-        cache_.clean_distances = std::move(clean_distances);
+        cache_.clean_outrefs = std::move(clean_outrefs);
         cache_.valid = true;
         heap_.ClearDirty();
       }
-      // Quiescent/refold keep clean_distances: both require an identical
+      // Quiescent/refold keep clean_outrefs: both require an identical
       // clean phase.
     }
   }
@@ -688,7 +653,7 @@ TraceResult LocalCollector::Run(const std::vector<ObjectId>& app_roots) {
       }
       cache_.inputs = std::move(inputs);
       cache_.result = result;
-      // clean_distances is unchanged: both reuse levels require an
+      // clean_outrefs is unchanged: both reuse levels require an
       // identical clean phase.
     }
   }

@@ -39,9 +39,13 @@
 // graph-theoretic (order-independent), so every reused field is what the
 // full trace would have computed — incremental_differential asserts exactly
 // that by running both and comparing.
+//
+// Phase 2's OutsetStore is scratch for one trace (§5.2): every full trace
+// and every label-served trace empties it first, so its interned outsets and
+// memoized unions never outlive the trace that computed them.
 #pragma once
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "backinfo/outset_store.h"
@@ -103,16 +107,11 @@ class LocalCollector {
   };
 
   /// Drops the previous-trace cache and the heap's dirty tracking (crash
-  /// restart: both are volatile acceleration state; the persistent
-  /// OutsetStore is a pure content-keyed memo and survives).
+  /// restart: both are volatile acceleration state).
   void InvalidateCache();
 
   /// True when a previous trace is cached and eligible for reuse checks.
   [[nodiscard]] bool cache_valid() const { return cache_.valid; }
-
-  /// The persistent outset store (interning/memo tables survive across
-  /// traces, so intern_bytes_saved accumulates across epochs).
-  [[nodiscard]] const OutsetStore& outset_store() const { return store_; }
 
   /// The incremental distance-label plane (a registered heap-mutation
   /// listener when CollectorConfig::incremental_distance is on; an inert
@@ -152,6 +151,13 @@ class LocalCollector {
   /// the cached clean-phase distances plus each suspect's cached outset.
   [[nodiscard]] TraceResult RefoldDistances(const TraceInputs& inputs) const;
 
+  /// Reaches each job's outset members at the job's distance, on the
+  /// worker pool when mark_threads > 1 and the fold is large enough.
+  void FoldOutsets(
+      const std::vector<std::pair<Distance, const std::vector<ObjectId>*>>&
+          jobs,
+      TraceResult& result) const;
+
   /// Differential harness: aborts unless the two results agree on every
   /// semantic field (snapshots, distances, cleanliness, sweep, back info).
   void CheckEquivalent(const TraceResult& reused,
@@ -168,10 +174,10 @@ class LocalCollector {
   /// label plane: no marking pass — clean set and sweep read off the labels,
   /// clean outref distances off the support index, suspect outsets
   /// recomputed against the labels. Requires labels_.fresh(). When
-  /// `clean_distances_out` is non-null it receives the phase-1-equivalent
-  /// distance base (pins + clean holders) for the reuse cache.
+  /// `clean_outrefs_out` is non-null it receives the phase-1-equivalent
+  /// outref records (pins + clean holders) for the reuse cache.
   TraceResult ServeFromLabels(const TraceInputs& inputs,
-                              std::map<ObjectId, Distance>* clean_distances_out);
+                              std::vector<OutrefOutcome>* clean_outrefs_out);
 
   /// Run() body when incremental_distance is on: reconcile -> fallback or
   /// reuse ladder (with ServeFromLabels replacing the full trace) ->
@@ -189,17 +195,17 @@ class LocalCollector {
   /// Scratch mark stack, reused across traces so the hot loop never
   /// reallocates once the heap's size has been seen.
   std::vector<ObjectId> mark_stack_;
-  /// Persistent across traces: suspects with outsets already seen in any
-  /// earlier epoch intern to the same id, and union memo hits carry over.
+  /// Phase-2 scratch, emptied by each trace; kept as a member only so its
+  /// hash tables keep their buckets from one trace to the next.
   OutsetStore store_;
 
   struct TraceCache {
     bool valid = false;
     TraceInputs inputs;
     TraceResult result;
-    /// outref_distances as of the end of phase 1 (pins + clean marking),
+    /// result.outrefs as of the end of phase 1 (pins + clean marking),
     /// before suspect contributions — the base the refold starts from.
-    std::map<ObjectId, Distance> clean_distances;
+    std::vector<OutrefOutcome> clean_outrefs;
   };
   TraceCache cache_;
 };

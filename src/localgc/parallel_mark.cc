@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "localgc/trace_result.h"
 
 namespace dgc {
 
@@ -75,7 +74,15 @@ void ParallelMarker::ScanSlot(WorkerState& ws, std::size_t w,
     if (target.site != site_) {
       // Same first-touch bookkeeping as the sequential mark; the layer's
       // single distance is applied at merge time.
-      ws.outrefs_touched.insert(target);
+      const auto it = std::lower_bound(outrefs_->begin(), outrefs_->end(),
+                                       target, OutrefOutcome::RefLess);
+      if (it != outrefs_->end() && it->ref == target) {
+        const auto index = static_cast<std::uint32_t>(it - outrefs_->begin());
+        if (ws.seen[index] == 0) {
+          ws.seen[index] = 1;
+          ws.outrefs_touched.push_back(index);
+        }
+      }
       continue;
     }
     DGC_CHECK_MSG(heap_.Exists(target),
@@ -153,6 +160,8 @@ void ParallelMarker::MarkLayer(const std::vector<ObjectId>& roots,
   result.stats.objects_marked_clean += seeded_marks;
   if (seeds.empty()) return;
   ++stats_.layers;
+  outrefs_ = &result.outrefs;
+  for (WorkerState& ws : states_) ws.seen.resize(result.outrefs.size());
 
   const std::size_t chunk =
       std::max<std::size_t>(1, (seeds.size() + workers_ - 1) / workers_);
@@ -174,11 +183,11 @@ void ParallelMarker::MarkLayer(const std::vector<ObjectId>& roots,
     DGC_DCHECK(ws.local.empty());
     result.stats.objects_marked_clean += ws.marked;
     result.stats.edges_scanned_clean += ws.edges;
-    for (const ObjectId outref : ws.outrefs_touched) {
-      auto [it, inserted] =
-          result.outref_distances.emplace(outref, outref_distance);
-      if (!inserted) it->second = std::min(it->second, outref_distance);
-      result.outrefs_clean.insert(outref);
+    for (const std::uint32_t index : ws.outrefs_touched) {
+      OutrefOutcome& outcome = result.outrefs[index];
+      outcome.Reach(outref_distance);
+      outcome.clean = true;
+      ws.seen[index] = 0;
     }
     stats_.steals += ws.steals;
     stats_.batches_published += ws.published;
@@ -222,30 +231,39 @@ std::vector<ObjectId> ParallelSweepUnmarked(const Heap& heap, WorkerPool& pool,
 
 void ParallelFoldOutsets(
     const std::vector<std::pair<Distance, const std::vector<ObjectId>*>>& jobs,
-    WorkerPool& pool, std::size_t workers, std::map<ObjectId, Distance>& into) {
+    WorkerPool& pool, std::size_t workers, std::vector<OutrefOutcome>& into) {
   if (jobs.empty()) return;
   workers = std::max<std::size_t>(1, std::min(workers, jobs.size()));
-  std::vector<std::map<ObjectId, Distance>> parts(workers);
+  // Per-worker best distance per record. A job's distance is NextDistance of
+  // something, so never 0: 0 marks a record this worker did not reach.
+  std::vector<std::vector<Distance>> parts(workers);
   const std::size_t chunk = (jobs.size() + workers - 1) / workers;
   pool.RunBatch(
       workers,
       [&](std::size_t w) {
         const std::size_t begin = w * chunk;
         const std::size_t end = std::min(jobs.size(), begin + chunk);
-        std::map<ObjectId, Distance>& local = parts[w];
+        std::vector<Distance>& best = parts[w];
+        best.assign(into.size(), 0);
         for (std::size_t j = begin; j < end; ++j) {
           const auto& [distance, outset] = jobs[j];
+          DGC_DCHECK(distance != 0);
+          auto it = into.cbegin();
           for (const ObjectId outref : *outset) {
-            auto [it, inserted] = local.emplace(outref, distance);
-            if (!inserted) it->second = std::min(it->second, distance);
+            // Outsets are sorted, so each lookup resumes where the last one
+            // ended.
+            it = std::lower_bound(it, into.cend(), outref,
+                                  OutrefOutcome::RefLess);
+            if (it == into.cend() || it->ref != outref) continue;
+            Distance& slot = best[static_cast<std::size_t>(it - into.cbegin())];
+            slot = slot == 0 ? distance : std::min(slot, distance);
           }
         }
       },
       workers);
-  for (const std::map<ObjectId, Distance>& part : parts) {
-    for (const auto& [outref, distance] : part) {
-      auto [it, inserted] = into.emplace(outref, distance);
-      if (!inserted) it->second = std::min(it->second, distance);
+  for (const std::vector<Distance>& best : parts) {
+    for (std::size_t i = 0; i < best.size(); ++i) {
+      if (best[i] != 0) into[i].Reach(best[i]);
     }
   }
 }

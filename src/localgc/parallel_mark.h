@@ -25,26 +25,23 @@
 // ParallelSweepUnmarked and ParallelFoldOutsets are the two embarrassingly
 // parallel passes: the sweep partitions slots by slab and splices per-slab
 // reclaim lists back in slot order; the fold partitions suspected-inref
-// outsets and min-merges per-worker distance maps in worker order.
+// outsets and min-merges per-worker distance arrays in worker order.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "common/distance.h"
 #include "common/ids.h"
 #include "common/worker_pool.h"
+#include "localgc/trace_result.h"
 #include "store/heap.h"
 
 namespace dgc {
-
-struct TraceResult;
 
 struct ParallelMarkStats {
   std::uint64_t steals = 0;          // batches taken from another worker
@@ -82,8 +79,11 @@ class ParallelMarker {
     /// Open (not yet published) batch per destination shard.
     std::vector<std::vector<std::uint32_t>> open;
     std::vector<std::uint32_t> open_shards;  // shards with a non-empty batch
-    /// Per-layer accumulators, merged deterministically after the join.
-    std::set<ObjectId> outrefs_touched;
+    /// Per-layer accumulators, merged deterministically after the join:
+    /// indices into TraceResult::outrefs, each listed once (`seen` is the
+    /// dense membership bit, reset at merge).
+    std::vector<std::uint32_t> outrefs_touched;
+    std::vector<char> seen;
     std::uint64_t marked = 0;
     std::uint64_t edges = 0;
     std::uint64_t steals = 0;
@@ -105,6 +105,9 @@ class ParallelMarker {
 
   Heap& heap_;
   WorkerPool& pool_;
+  /// The outref records of the layer being marked; read-only while workers
+  /// run.
+  const std::vector<OutrefOutcome>* outrefs_ = nullptr;
   const std::size_t workers_;
   const SiteId site_;
   std::vector<WorkerState> states_;
@@ -120,12 +123,12 @@ std::vector<ObjectId> ParallelSweepUnmarked(const Heap& heap, WorkerPool& pool,
                                             std::size_t workers,
                                             std::uint64_t epoch);
 
-/// Level-1 incremental reuse, parallel over suspects: folds each job's
-/// outset into `into` at the job's (already NextDistance'd) distance with a
-/// min-merge. Partitioned across `workers`; per-worker maps are merged in
-/// worker order, so the result is independent of scheduling.
+/// Suspect-distance fold, parallel over suspects: reaches each job's outset
+/// members in `into` at the job's (already NextDistance'd) distance with a
+/// min-merge. Partitioned across `workers`; per-worker distance arrays are
+/// merged in worker order, so the result is independent of scheduling.
 void ParallelFoldOutsets(
     const std::vector<std::pair<Distance, const std::vector<ObjectId>*>>& jobs,
-    WorkerPool& pool, std::size_t workers, std::map<ObjectId, Distance>& into);
+    WorkerPool& pool, std::size_t workers, std::vector<OutrefOutcome>& into);
 
 }  // namespace dgc

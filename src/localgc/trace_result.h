@@ -7,9 +7,9 @@
 // cleanings are recorded for replay into this new copy.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "backinfo/outset_store.h"
@@ -72,23 +72,41 @@ struct LocalTraceStats {
   std::uint64_t label_serves = 0;
 };
 
+/// What one trace decided about one snapshot outref.
+struct OutrefOutcome {
+  ObjectId ref;
+  /// New distance; meaningful only when `reached`.
+  Distance distance = kDistanceInfinity;
+  /// Reached from a root or clean inref, or pinned ("traced clean").
+  bool clean = false;
+  /// Reached by either phase. An unreached outref is dropped at apply time
+  /// unless it was pinned or barrier-cleaned meanwhile.
+  bool reached = false;
+
+  /// Min-merges one more path reaching this outref at `d`.
+  void Reach(Distance d) {
+    distance = reached ? std::min(distance, d) : d;
+    reached = true;
+  }
+
+  /// Orders records against a bare ref, for lower_bound.
+  static bool RefLess(const OutrefOutcome& o, ObjectId ref) {
+    return o.ref < ref;
+  }
+
+  friend bool operator==(const OutrefOutcome&, const OutrefOutcome&) = default;
+};
+
 struct TraceResult {
   std::uint64_t epoch = 0;
 
-  /// Outrefs that existed when the trace started (apply only touches these;
-  /// outrefs created mid-trace keep their fresh clean state untouched).
-  std::set<ObjectId> snapshot_outrefs;
-  std::set<ObjectId> snapshot_inrefs;
+  /// One record per outref that existed when the trace started, in table
+  /// (ObjectId) order. Apply only touches these; outrefs created mid-trace
+  /// keep their fresh clean state untouched.
+  std::vector<OutrefOutcome> outrefs;
 
-  /// New distance per surviving (reached) outref.
-  std::map<ObjectId, Distance> outref_distances;
-
-  /// Outrefs reached from a root or clean inref ("traced clean").
-  std::set<ObjectId> outrefs_clean;
-
-  /// Snapshot outrefs reached by no trace: to be dropped at apply time
-  /// (unless pinned or barrier-cleaned meanwhile).
-  std::set<ObjectId> outrefs_untraced;
+  /// Inrefs that existed when the trace started, sorted.
+  std::vector<ObjectId> snapshot_inrefs;
 
   /// Objects unreachable at the start of the trace, to be swept at apply.
   std::vector<ObjectId> objects_to_free;
@@ -97,6 +115,28 @@ struct TraceResult {
   SiteBackInfo back_info;
 
   LocalTraceStats stats;
+
+  /// The snapshot record for `ref`, or nullptr when `ref` had no outref
+  /// when the trace started.
+  [[nodiscard]] const OutrefOutcome* FindOutref(ObjectId ref) const {
+    const auto it = std::lower_bound(outrefs.begin(), outrefs.end(), ref,
+                                     OutrefOutcome::RefLess);
+    return it != outrefs.end() && it->ref == ref ? &*it : nullptr;
+  }
+  [[nodiscard]] OutrefOutcome* FindOutref(ObjectId ref) {
+    return const_cast<OutrefOutcome*>(std::as_const(*this).FindOutref(ref));
+  }
+
+  /// Reaches every member of the sorted `outset` at `distance`; members
+  /// with no snapshot record are skipped.
+  void ReachAll(const std::vector<ObjectId>& outset, Distance distance) {
+    auto it = outrefs.begin();
+    for (const ObjectId ref : outset) {
+      it = std::lower_bound(it, outrefs.end(), ref, OutrefOutcome::RefLess);
+      if (it == outrefs.end()) return;
+      if (it->ref == ref) it->Reach(distance);
+    }
+  }
 };
 
 }  // namespace dgc

@@ -51,6 +51,11 @@ struct InrefEntry {
   /// local trace's results are applied.
   bool clean_override = false;
 
+  /// Set when the transfer barrier cleans this inref while a local trace is
+  /// in flight; the apply replays the cleaning into the new back
+  /// information and clears the bit (Section 6.2). Volatile.
+  bool window_cleaned = false;
+
   /// Back traces that have visited this inref and not yet reported.
   std::vector<TraceId> visited;
 
@@ -99,6 +104,11 @@ struct OutrefEntry {
   /// Set by the transfer barrier or on fresh creation by a reference
   /// transfer (Section 6.1); cleared when the next trace's results apply.
   bool clean_override = false;
+
+  /// Set when the transfer barrier cleans this outref while a local trace is
+  /// in flight, so the apply keeps it clean and untrimmed; the apply clears
+  /// the bit (Section 6.2). Volatile.
+  bool window_cleaned = false;
 
   /// Insert-barrier and application-root pins: while positive, the outref is
   /// forcibly clean and may not be trimmed (Section 6.1.2).
@@ -183,6 +193,23 @@ class RefTables {
   std::pair<OutrefEntry*, bool> EnsureOutref(ObjectId remote_ref);
 
   void RemoveOutref(ObjectId remote_ref);
+
+  /// Calls `pred(ref, entry)` on every outref once, in key order, and
+  /// removes those it returns true for in one pass; `pred` may update the
+  /// entries it keeps. Like RemoveOutref, a removed outref must be unpinned,
+  /// and each removal bumps mutation_count(). Returns the count removed.
+  template <typename Pred>
+  std::size_t RemoveOutrefsIf(Pred pred) {
+    const std::size_t removed =
+        outrefs_.erase_if([&pred](OutrefMap::value_type& entry) {
+          if (!pred(entry.first, entry.second)) return false;
+          DGC_CHECK_MSG(entry.second.pin_count == 0,
+                        "removing pinned outref " << entry.first);
+          return true;
+        });
+    mutation_count_ += removed;
+    return removed;
+  }
 
   [[nodiscard]] const OutrefMap& outrefs() const { return outrefs_; }
   [[nodiscard]] OutrefMap& outrefs() { return outrefs_; }

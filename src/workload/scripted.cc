@@ -9,10 +9,11 @@ namespace dgc {
 namespace {
 
 // Every object gets two slots: slot 0 carries the ring edge (or tether),
-// slot 1 stays free so future specs can densify without changing ids.
+// slot 1 the optional chord, so a denser spec mints the same ids.
 constexpr std::size_t kSlots = 2;
 
-ScriptedRing BuildRing(GodWorld& world, Rng& rng, std::size_t span) {
+ScriptedRing BuildRing(GodWorld& world, Rng& rng, std::size_t span,
+                       bool chords) {
   const std::size_t sites = world.site_count();
   const SiteId start = static_cast<SiteId>(rng.NextBelow(sites));
   span = std::max<std::size_t>(2, std::min(span, sites));
@@ -25,6 +26,11 @@ ScriptedRing BuildRing(GodWorld& world, Rng& rng, std::size_t span) {
   }
   for (std::size_t k = 0; k < span; ++k) {
     world.Wire(ring.objects[k], 0, ring.objects[(k + 1) % span]);
+  }
+  if (chords && span >= 3) {
+    for (std::size_t k = 0; k < span; ++k) {
+      world.Wire(ring.objects[k], 1, ring.objects[(k + 2) % span]);
+    }
   }
   // The tether lives on the ring's first site and is a persistent root; as
   // long as its slot 0 points into the ring, every member is reachable.
@@ -44,7 +50,8 @@ ScriptedChurnResult RunScriptedChurn(GodWorld& world, std::uint64_t seed,
 
   for (std::size_t round = 0; round < spec.rounds; ++round) {
     for (std::size_t i = 0; i < spec.rings_per_round; ++i) {
-      result.rings.push_back(BuildRing(world, rng, spec.ring_span));
+      result.rings.push_back(
+          BuildRing(world, rng, spec.ring_span, spec.chords));
     }
     for (std::size_t i = 0; i < spec.locals_per_round; ++i) {
       const SiteId site =

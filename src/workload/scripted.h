@@ -101,6 +101,11 @@ struct ScriptedChurnSpec {
   /// Per-round chance each still-tethered ring's tether is cut, turning
   /// the ring into a distributed garbage cycle.
   double cut_probability = 0.5;
+  /// Also wire each ring member's slot 1 to the member two hops ahead
+  /// (rings of 3+ sites). Every member then has two source sites, so a back
+  /// trace through it calls both at once: the workload's only source of
+  /// steps in which two sites send concurrently.
+  bool chords = false;
   /// Extra rounds after the churn to drain in-flight verdicts. Traces are
   /// one-at-a-time per site, so several cut rings need several rounds.
   std::size_t drain_rounds = 8;

@@ -11,7 +11,9 @@
 #include "backinfo/site_back_info.h"
 #include "backinfo/suspect_trace.h"
 #include "common/rng.h"
+#include "core/system.h"
 #include "store/heap.h"
+#include "workload/builders.h"
 
 namespace dgc {
 namespace {
@@ -77,6 +79,72 @@ TEST(OutsetStoreTest, EqualContentShareStorage) {
       store.Union(store.Singleton(r1),
                   store.Union(store.Singleton(r2), store.Singleton(r3)));
   EXPECT_EQ(left, right);
+}
+
+TEST(OutsetStoreTest, ClearEmptiesTheStoreAndKeepsBuckets) {
+  OutsetStore store;
+  store.Reserve(1024);
+  const ObjectId r1{2, 1}, r2{2, 2};
+  const auto both = store.Union(store.Singleton(r1), store.Singleton(r2));
+  ASSERT_EQ(store.Get(both).size(), 2u);
+  const std::size_t buckets = store.union_memo_buckets();
+
+  store.Clear();
+  EXPECT_EQ(store.distinct_outsets(), 1u);  // just the empty set
+  EXPECT_TRUE(store.Get(OutsetStore::kEmpty).empty());
+  EXPECT_EQ(store.stats().unions_requested, 0u);
+  EXPECT_EQ(store.stats().union_memo_entries, 0u);
+  EXPECT_EQ(store.union_memo_buckets(), buckets);
+
+  // The cleared store interns afresh: ids restart and content is right.
+  const auto again = store.Union(store.Singleton(r2), store.Singleton(r1));
+  EXPECT_EQ(store.Get(again), (std::vector<ObjectId>{r1, r2}));
+  EXPECT_EQ(store.distinct_outsets(), 4u);  // {}, {r2}, {r1}, {r1,r2}
+}
+
+TEST(OutsetStoreTest, ReserveNeverShrinksATable) {
+  OutsetStore store;
+  store.Reserve(4096);
+  const std::size_t buckets = store.union_memo_buckets();
+  ASSERT_GE(buckets, 2 * 4096u);
+  store.Reserve(8);
+  EXPECT_EQ(store.union_memo_buckets(), buckets);
+  store.Clear();
+  store.Reserve(1);
+  EXPECT_EQ(store.union_memo_buckets(), buckets);
+  store.Reserve(8192);
+  EXPECT_GT(store.union_memo_buckets(), buckets);
+}
+
+TEST(OutsetStoreTest, StoreHoldsOnlyTheLatestTrace) {
+  // Ring churn through site 0: every other round a fresh garbage ring
+  // appears, ripens into suspicion and is collected, so site 0's suspected
+  // inrefs and their outsets keep changing. After 62 traces, the
+  // store must describe the last trace alone: exactly as many outsets as a
+  // fresh collector finds tracing the same heap and tables once.
+  CollectorConfig config;
+  config.suspicion_threshold = 2;
+  config.estimated_cycle_length = 3;
+  System system(3, config, {}, /*seed=*/5);
+  for (std::size_t round = 0; round < 62; ++round) {
+    // The last ring (round 60) is still suspected, not yet collected, at
+    // the final trace.
+    if (round % 2 == 0) {
+      workload::BuildCycle(system, {.sites = 2 + (round / 2) % 2,
+                                    .objects_per_site = 1 + (round / 2) % 3});
+    }
+    system.RunRound();
+  }
+  Site& site = system.site(0);
+  ASSERT_GE(site.stats().local_traces, 50u);
+
+  TraceResult last = site.ComputeLocalTrace();
+  LocalCollector fresh(site.heap(), site.tables());
+  const TraceResult once = fresh.Run(site.AppRootObjects());
+  EXPECT_GT(once.stats.suspected_inrefs, 0u);
+  EXPECT_EQ(last.stats.distinct_outsets, once.stats.distinct_outsets);
+  EXPECT_EQ(last.back_info, once.back_info);
+  site.CommitLocalTrace(std::move(last));
 }
 
 // --- Suspect tracing fixtures ------------------------------------------------

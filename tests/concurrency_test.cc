@@ -298,15 +298,112 @@ TEST(NonAtomicTraceTest, BarrierDuringTraceWindowIsRemembered) {
   // When the trace applies, the remembered cleaning must survive the swap
   // (it would otherwise be wiped by step 1 of ApplyTraceResult) and be
   // re-applied against the new copy.
+  EXPECT_TRUE(inref_p->window_cleaned);
+  EXPECT_TRUE(outref_q->window_cleaned);
   system.SettleNetwork();
   EXPECT_FALSE(site0.trace_in_flight());
   EXPECT_TRUE(inref_p->clean(config.suspicion_threshold));
   EXPECT_TRUE(outref_q->clean());
+  // The apply consumed the window's flags.
+  EXPECT_FALSE(inref_p->window_cleaned);
+  EXPECT_FALSE(outref_q->window_cleaned);
 
   // The following trace (no barrier in its window) reverts to suspicion.
   site0.StartLocalTrace();
   system.SettleNetwork();
   EXPECT_FALSE(inref_p->clean(config.suspicion_threshold));
+}
+
+TEST(NonAtomicTraceTest, ApplyHandlesEntriesChangedInTheWindow) {
+  CollectorConfig config = Config();
+  config.local_trace_duration = 200;
+  config.enable_back_tracing = false;
+  System system(2, config);
+  Site& site0 = system.site(0);
+  RefTables& tables = site0.tables();
+  const auto garbage_cycle = [&system](ObjectId& at0, ObjectId& at1) {
+    at0 = system.NewObject(0, 2);
+    at1 = system.NewObject(1, 1);
+    system.Wire(at0, 0, at1);
+    system.Wire(at1, 0, at0);
+  };
+  ObjectId p, q, p2, q2, w, z;
+  garbage_cycle(p, q);
+  garbage_cycle(p2, q2);
+  garbage_cycle(w, z);
+  // d@0 is held from a root on site 1: a clean inref, dropped mid-trace.
+  const ObjectId holder = system.NewObject(1, 1);
+  system.SetPersistentRoot(holder);
+  const ObjectId d = system.NewObject(0, 0);
+  system.Wire(holder, 0, d);
+  system.RunRounds(6);  // the three cycles ripen into suspicion
+  ASSERT_FALSE(tables.FindInref(p)->clean(config.suspicion_threshold));
+  ASSERT_FALSE(tables.FindInref(p2)->clean(config.suspicion_threshold));
+  ASSERT_FALSE(tables.FindOutref(z)->clean());
+
+  // Changes the next trace sees: p drops q, so outref q goes untraced
+  // although q is in p's old outset; p2 now reaches z through w, so z joins
+  // p2's new outset only. Four fresh garbage holders on site 0 hold the
+  // only references to x[0..2] and y.
+  system.Unwire(p, 0);
+  system.Wire(p2, 1, w);
+  std::vector<ObjectId> x;
+  for (int i = 0; i < 3; ++i) {
+    x.push_back(system.NewObject(1, 0));
+    system.Wire(system.NewObject(0, 1), 0, x.back());
+  }
+  const ObjectId y = system.NewObject(1, 0);
+  system.Wire(system.NewObject(0, 1), 0, y);
+
+  site0.StartLocalTrace();
+  ASSERT_TRUE(site0.trace_in_flight());
+  // Inside the window: site 1 drops d and its removal update lands; the
+  // mutator pins y; the transfer barrier cleans p and p2 (and, through the
+  // old copy, q and q2 but not z).
+  system.Unwire(holder, 0);
+  ASSERT_TRUE(tables.RemoveInrefSource(d, 1));
+  site0.PinOutref(y);
+  site0.ApplyTransferBarrier(p);
+  site0.ApplyTransferBarrier(p2);
+  EXPECT_TRUE(tables.FindOutref(q)->window_cleaned);
+  EXPECT_FALSE(tables.FindOutref(z)->clean());
+  const std::uint64_t mutations = tables.mutation_count();
+  const std::uint64_t trimmed = site0.stats().outrefs_trimmed;
+
+  system.SettleNetwork();
+  ASSERT_FALSE(site0.trace_in_flight());
+  // Three trims in one batched pass, counted exactly.
+  for (const ObjectId ref : x) EXPECT_EQ(tables.FindOutref(ref), nullptr);
+  EXPECT_EQ(site0.stats().outrefs_trimmed - trimmed, 3u);
+  EXPECT_EQ(tables.mutation_count() - mutations, 3u);
+  // The dropped inref was skipped.
+  EXPECT_EQ(tables.FindInref(d), nullptr);
+  // Untraced but pinned, or untraced but window-cleaned: kept, and clean.
+  ASSERT_NE(tables.FindOutref(y), nullptr);
+  EXPECT_TRUE(tables.FindOutref(y)->clean());
+  ASSERT_NE(tables.FindOutref(q), nullptr);
+  EXPECT_TRUE(tables.FindOutref(q)->clean());
+  // The window-cleaned inrefs stay clean, and the replay against the new
+  // copy cleaned z, which only p2's new outset holds.
+  EXPECT_TRUE(tables.FindInref(p)->clean(config.suspicion_threshold));
+  EXPECT_TRUE(tables.FindInref(p2)->clean(config.suspicion_threshold));
+  EXPECT_TRUE(tables.FindOutref(z)->clean_override);
+  // Every window flag was consumed.
+  for (const auto& [obj, entry] : tables.inrefs()) {
+    EXPECT_FALSE(entry.window_cleaned) << obj;
+  }
+  for (const auto& [ref, entry] : tables.outrefs()) {
+    EXPECT_FALSE(entry.window_cleaned) << ref;
+  }
+
+  // The next trace, with no barrier in its window, trims q; y goes too once
+  // released.
+  site0.UnpinOutref(y);
+  site0.StartLocalTrace();
+  system.SettleNetwork();
+  EXPECT_EQ(tables.FindOutref(q), nullptr);
+  EXPECT_EQ(tables.FindOutref(y), nullptr);
+  EXPECT_FALSE(tables.FindInref(p)->clean(config.suspicion_threshold));
 }
 
 TEST(NonAtomicTraceTest, ObjectsAllocatedMidTraceSurviveTheSweep) {
@@ -384,16 +481,14 @@ INSTANTIATE_TEST_SUITE_P(Fig5AndFig6, Figure5Plus6, ::testing::Bool());
 std::string DumpTraceResult(const TraceResult& r) {
   std::ostringstream os;
   os << "epoch " << r.epoch << '\n';
-  os << "snapshot_outrefs";
-  for (const ObjectId id : r.snapshot_outrefs) os << ' ' << id;
+  os << "outrefs";
+  for (const OutrefOutcome& o : r.outrefs) {
+    os << ' ' << o.ref;
+    if (o.reached) os << '=' << o.distance;
+    if (o.clean) os << 'c';
+  }
   os << "\nsnapshot_inrefs";
   for (const ObjectId id : r.snapshot_inrefs) os << ' ' << id;
-  os << "\noutref_distances";
-  for (const auto& [id, d] : r.outref_distances) os << ' ' << id << '=' << d;
-  os << "\noutrefs_clean";
-  for (const ObjectId id : r.outrefs_clean) os << ' ' << id;
-  os << "\noutrefs_untraced";
-  for (const ObjectId id : r.outrefs_untraced) os << ' ' << id;
   os << "\nobjects_to_free";
   for (const ObjectId id : r.objects_to_free) os << ' ' << id;
   os << "\ninref_outsets";

@@ -28,16 +28,14 @@ namespace {
 std::string DumpTraceResult(const TraceResult& r) {
   std::ostringstream os;
   os << "epoch " << r.epoch << '\n';
-  os << "snapshot_outrefs";
-  for (const ObjectId id : r.snapshot_outrefs) os << ' ' << id;
+  os << "outrefs";
+  for (const OutrefOutcome& o : r.outrefs) {
+    os << ' ' << o.ref;
+    if (o.reached) os << '=' << o.distance;
+    if (o.clean) os << 'c';
+  }
   os << "\nsnapshot_inrefs";
   for (const ObjectId id : r.snapshot_inrefs) os << ' ' << id;
-  os << "\noutref_distances";
-  for (const auto& [id, d] : r.outref_distances) os << ' ' << id << '=' << d;
-  os << "\noutrefs_clean";
-  for (const ObjectId id : r.outrefs_clean) os << ' ' << id;
-  os << "\noutrefs_untraced";
-  for (const ObjectId id : r.outrefs_untraced) os << ' ' << id;
   os << "\nobjects_to_free";
   for (const ObjectId id : r.objects_to_free) os << ' ' << id;
   os << "\ninref_outsets";
