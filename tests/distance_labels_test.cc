@@ -497,6 +497,14 @@ struct MatrixCase {
   std::size_t mark_threads;
 };
 
+// A stable, readable name for each cell. Without it gtest prints the raw
+// bytes of the struct, padding included, so the registered test names
+// change from build to build.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << (c.incremental_trace ? "incremental" : "full") << "_trace_"
+      << c.mark_threads << "_mark_threads";
+}
+
 class DistanceMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(DistanceMatrix, DifferentialHoldsAcrossTheConfigMatrix) {
