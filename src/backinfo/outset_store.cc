@@ -4,45 +4,31 @@
 
 namespace dgc {
 
-namespace {
-
-// unordered_*::reserve(n) rehashes to fit n even when the table already has
-// more buckets, so a small hint would shrink a table sized by an earlier,
-// larger trace. Only ever grow.
-template <typename Table>
-void ReserveAtLeast(Table& table, std::size_t n) {
-  if (static_cast<double>(n) >
-      table.max_load_factor() * static_cast<double>(table.bucket_count())) {
-    table.reserve(n);
-  }
-}
-
-}  // namespace
-
 void OutsetStore::Clear() {
-  sets_.resize(1);  // id 0 = empty set
-  by_id_.clear();
-  by_id_.insert(kEmpty);
-  singletons_.clear();
-  union_memo_.clear();
+  count_ = 1;  // id 0 = empty set
+  by_id_.Clear();
+  singletons_.Clear();
+  union_memo_.Clear();
   stats_ = Stats{};
 }
 
 void OutsetStore::Reserve(std::size_t expected_suspects) {
   if (expected_suspects == 0) return;
-  sets_.reserve(sets_.size() + expected_suspects);
-  ReserveAtLeast(by_id_, expected_suspects);
-  ReserveAtLeast(singletons_, expected_suspects);
+  sets_.reserve(count_ + expected_suspects);
+  by_id_.Reserve(expected_suspects);
+  singletons_.Reserve(expected_suspects);
   // Each suspect contributes at most a handful of distinct pair-unions in
   // practice (shared subgraphs are memoized); 2x is a comfortable ceiling.
-  ReserveAtLeast(union_memo_, 2 * expected_suspects);
+  union_memo_.Reserve(2 * expected_suspects);
 }
 
 OutsetStore::OutsetId OutsetStore::Singleton(ObjectId ref) {
-  const auto it = singletons_.find(ref);
-  if (it != singletons_.end()) return it->second;
-  const OutsetId id = Intern({ref});
-  singletons_.emplace(ref, id);
+  const std::uint64_t key = std::hash<ObjectId>{}(ref);
+  const OutsetId found = singletons_.Find(
+      key, [&](OutsetId id) { return sets_[id].front() == ref; });
+  if (found != ScratchTable::kAbsent) return found;
+  const OutsetId id = Intern({&ref, 1});
+  singletons_.Insert(key, id);
   return id;
 }
 
@@ -58,40 +44,43 @@ OutsetStore::OutsetId OutsetStore::Union(OutsetId a, OutsetId b) {
   }
   if (a > b) std::swap(a, b);
   const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-  const auto memo = union_memo_.find(key);
-  if (memo != union_memo_.end()) {
+  const OutsetId memo = union_memo_.Find(key);
+  if (memo != ScratchTable::kAbsent) {
     ++stats_.unions_memo_hits;
-    return memo->second;
+    return memo;
   }
 
   ++stats_.unions_computed;
   const std::vector<ObjectId>& va = Get(a);
   const std::vector<ObjectId>& vb = Get(b);
-  std::vector<ObjectId> merged;
-  merged.reserve(va.size() + vb.size());
+  merged_.clear();
   std::set_union(va.begin(), va.end(), vb.begin(), vb.end(),
-                 std::back_inserter(merged));
-  const OutsetId id = Intern(std::move(merged));
-  union_memo_.emplace(key, id);
+                 std::back_inserter(merged_));
+  const OutsetId id = Intern(merged_);
+  union_memo_.Insert(key, id);
   return id;
 }
 
-OutsetStore::OutsetId OutsetStore::Intern(std::vector<ObjectId> canonical) {
+OutsetStore::OutsetId OutsetStore::Intern(
+    std::span<const ObjectId> canonical) {
+  DGC_DCHECK(!canonical.empty());
   DGC_DCHECK(std::is_sorted(canonical.begin(), canonical.end()));
-  // Tentatively append the candidate so the id-keyed table can hash and
-  // compare it in place; on a duplicate, drop the tentative slot again.
-  const OutsetId tentative = static_cast<OutsetId>(sets_.size());
-  sets_.push_back(std::move(canonical));
-  const auto [it, inserted] = by_id_.insert(tentative);
-  if (!inserted) {
-    sets_.pop_back();
+  const std::uint64_t hash = HashContent(canonical);
+  const OutsetId existing = by_id_.Find(hash, [&](OutsetId id) {
+    return std::ranges::equal(sets_[id], canonical);
+  });
+  if (existing != ScratchTable::kAbsent) {
     ++stats_.interned_existing;
     stats_.intern_bytes_saved +=
-        sets_[*it].size() * sizeof(ObjectId) + sizeof(std::vector<ObjectId>);
-    return *it;
+        canonical.size() * sizeof(ObjectId) + sizeof(std::vector<ObjectId>);
+    return existing;
   }
-  stats_.stored_elements += sets_[tentative].size();
-  return tentative;
+  const auto id = static_cast<OutsetId>(count_++);
+  if (sets_.size() < count_) sets_.emplace_back();
+  sets_[id].assign(canonical.begin(), canonical.end());
+  by_id_.Insert(hash, id);
+  stats_.stored_elements += canonical.size();
+  return id;
 }
 
 }  // namespace dgc

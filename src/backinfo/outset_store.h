@@ -10,16 +10,17 @@
 // The store is scratch for one local trace, as in §5.2: the collector
 // Clear()s it before each trace's suspect phase, so ids, memoized unions and
 // stats describe that trace alone. Nothing keeps an OutsetId past the trace
-// (the back information copies the canonical vectors). Clear() keeps the
-// hash tables' bucket arrays, so a site's steady-state traces rehash
-// nothing.
+// (the back information copies the canonical vectors). The three lookup
+// tables are flat open-addressing ScratchTables, whose Clear() is O(1), and
+// Clear() keeps the canonical vectors' storage for the next trace to
+// overwrite, so a site's steady-state traces allocate nothing.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
+#include "backinfo/scratch_table.h"
 #include "common/check.h"
 #include "common/ids.h"
 
@@ -31,21 +32,13 @@ class OutsetStore {
 
   static constexpr OutsetId kEmpty = 0;
 
-  OutsetStore() : by_id_(kInitialBuckets, IdHash{&sets_}, IdEq{&sets_}) {
-    sets_.emplace_back();  // id 0 = empty set
-    by_id_.insert(kEmpty);
-  }
-
-  // The intern table's hash/equal functors point into sets_, so the store
-  // must stay put.
-  OutsetStore(const OutsetStore&) = delete;
-  OutsetStore& operator=(const OutsetStore&) = delete;
+  OutsetStore() { sets_.emplace_back(); }  // id 0 = empty set
 
   /// Empties the store back to {empty set} and zeroes its stats, keeping
-  /// every table's allocated buckets.
+  /// every table's slots and every canonical vector's storage.
   void Clear();
 
-  /// Pre-sizes the hash tables for roughly `expected_suspects` suspected
+  /// Pre-sizes the tables for roughly `expected_suspects` suspected
   /// inrefs so a trace-sized workload does not pay rehash churn. Outset
   /// counts and memoized unions both grow with the suspect count, so one
   /// hint sizes all three tables. Grow-only: a smaller hint than a table
@@ -63,11 +56,11 @@ class OutsetStore {
 
   /// The canonical (sorted, deduplicated) members of an outset.
   [[nodiscard]] const std::vector<ObjectId>& Get(OutsetId id) const {
-    DGC_CHECK(id < sets_.size());
+    DGC_CHECK(id < count_);
     return sets_[id];
   }
 
-  [[nodiscard]] std::size_t distinct_outsets() const { return sets_.size(); }
+  [[nodiscard]] std::size_t distinct_outsets() const { return count_; }
 
   /// Buckets of the union memo, the largest table (for tests).
   [[nodiscard]] std::size_t union_memo_buckets() const {
@@ -97,38 +90,27 @@ class OutsetStore {
   }
 
  private:
-  static constexpr std::size_t kInitialBuckets = 16;
-
-  static std::size_t HashContent(const std::vector<ObjectId>& v) noexcept {
+  static std::uint64_t HashContent(std::span<const ObjectId> v) noexcept {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL + v.size();
     for (const ObjectId& id : v) {
       h = detail::mix64(h ^ std::hash<ObjectId>{}(id));
     }
-    return static_cast<std::size_t>(h);
+    return h;
   }
 
-  // The intern table holds outset ids only; hashing and equality dereference
-  // the canonical vectors in sets_, so each set's content is stored once.
-  struct IdHash {
-    const std::vector<std::vector<ObjectId>>* sets;
-    std::size_t operator()(OutsetId id) const noexcept {
-      return HashContent((*sets)[id]);
-    }
-  };
-  struct IdEq {
-    const std::vector<std::vector<ObjectId>>* sets;
-    bool operator()(OutsetId a, OutsetId b) const noexcept {
-      return (*sets)[a] == (*sets)[b];
-    }
-  };
+  /// Interns a canonical set, returning its id. The intern table is keyed
+  /// by content hash and holds ids only; candidates are compared against
+  /// the canonical vectors, so each set's content is stored once.
+  OutsetId Intern(std::span<const ObjectId> canonical);
 
-  /// Interns a canonical vector, returning its id.
-  OutsetId Intern(std::vector<ObjectId> canonical);
-
+  /// Canonical vectors by id; only the first count_ are live. The rest are
+  /// vectors from earlier traces kept for their storage.
   std::vector<std::vector<ObjectId>> sets_;
-  std::unordered_set<OutsetId, IdHash, IdEq> by_id_;
-  std::unordered_map<ObjectId, OutsetId> singletons_;
-  std::unordered_map<std::uint64_t, OutsetId> union_memo_;
+  std::size_t count_ = 1;
+  std::vector<ObjectId> merged_;  // Union's merge buffer
+  ScratchTable by_id_;       // content hash -> id
+  ScratchTable singletons_;  // ObjectId hash -> id of {ref}
+  ScratchTable union_memo_;  // (a << 32 | b) -> id of a ∪ b
   Stats stats_;
 };
 

@@ -1,8 +1,8 @@
 // FlatMap: a sorted-vector map with the std::map surface the hot paths use.
 //
-// The ref tables, the site's root/ack books, and the network's per-channel
-// state are all keyed lookups that are read and iterated far more often than
-// they are structurally mutated. std::map pays a node allocation per entry
+// The inrefs' source lists, the site's root/ack books, and the network's
+// per-channel state are small keyed lookups, read and iterated far more often
+// than structurally mutated. std::map pays a node allocation per entry
 // and a pointer chase per comparison; at 10^6 objects those dominate the
 // per-mutation profile. A sorted std::vector keeps the same ordered,
 // deterministic iteration (so verdict and sweep order are bit-identical to

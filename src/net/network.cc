@@ -40,9 +40,7 @@ void Network::Send(SiteId from, SiteId to, Payload payload) {
     // not counted as network traffic.
     ++stats_.self_deliveries;
     ++in_flight_;
-    scheduler_.After(0, [this, envelope = std::move(envelope)]() mutable {
-      Deliver(std::move(envelope));
-    });
+    ScheduleBatch(scheduler_.now(), BatchOfOne(std::move(envelope)));
     return;
   }
 
@@ -64,9 +62,7 @@ void Network::Send(SiteId from, SiteId to, Payload payload) {
     }
     return;
   }
-  std::vector<Envelope> batch = AcquireBatchBuffer();
-  batch.push_back(std::move(envelope));
-  ShipBatch(from, to, std::move(batch));
+  ShipBatch(from, to, BatchOfOne(std::move(envelope)));
 }
 
 void Network::FlushChannel(SiteId from, SiteId to) {
@@ -98,6 +94,36 @@ void Network::ReleaseBatchBuffer(std::vector<Envelope>&& buffer) {
   buffer.clear();
   // Bounded: past this the extra buffers' allocations are not worth keeping.
   if (batch_pool_.size() < 1024) batch_pool_.push_back(std::move(buffer));
+}
+
+std::vector<Envelope> Network::BatchOfOne(Envelope envelope) {
+  std::vector<Envelope> batch = AcquireBatchBuffer();
+  batch.push_back(std::move(envelope));
+  return batch;
+}
+
+void Network::ScheduleBatch(SimTime deliver_at, std::vector<Envelope> batch) {
+  std::uint32_t slot;
+  if (free_in_flight_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_batches_.size());
+    in_flight_batches_.push_back(std::move(batch));
+  } else {
+    slot = free_in_flight_slots_.back();
+    free_in_flight_slots_.pop_back();
+    in_flight_batches_[slot] = std::move(batch);
+  }
+  scheduler_.At(deliver_at, [this, slot] { DeliverInFlight(slot); });
+}
+
+void Network::DeliverInFlight(std::uint32_t slot) {
+  // Take the batch out and free the slot first: handlers send, and a send
+  // may schedule a batch (and so reuse this slot, or grow the table).
+  std::vector<Envelope> batch = std::move(in_flight_batches_[slot]);
+  free_in_flight_slots_.push_back(slot);
+  for (Envelope& envelope : batch) {
+    Deliver(std::move(envelope));
+  }
+  ReleaseBatchBuffer(std::move(batch));
 }
 
 SimTime Network::DrawLatency() {
@@ -165,12 +191,7 @@ void Network::ShipBatch(SiteId from, SiteId to, std::vector<Envelope> batch) {
   const SimTime deliver_at = std::max(scheduler_.now() + latency, last);
   last = deliver_at;
 
-  scheduler_.At(deliver_at, [this, batch = std::move(batch)]() mutable {
-    for (Envelope& envelope : batch) {
-      Deliver(std::move(envelope));
-    }
-    ReleaseBatchBuffer(std::move(batch));
-  });
+  ScheduleBatch(deliver_at, std::move(batch));
 }
 
 // --- Parallel staged-send replay -------------------------------------------
@@ -240,21 +261,8 @@ void Network::CommitPrepared(ReplayShard& shard) {
   in_flight_ += shard.admitted;
 
   for (PreparedSend& send : shard.prepared) {
-    if (send.self) {
-      scheduler_.After(0,
-                       [this, envelope = std::move(send.envelope)]() mutable {
-                         Deliver(std::move(envelope));
-                       });
-      continue;
-    }
-    std::vector<Envelope> batch = AcquireBatchBuffer();
-    batch.push_back(std::move(send.envelope));
-    scheduler_.At(send.deliver_at, [this, batch = std::move(batch)]() mutable {
-      for (Envelope& envelope : batch) {
-        Deliver(std::move(envelope));
-      }
-      ReleaseBatchBuffer(std::move(batch));
-    });
+    ScheduleBatch(send.self ? scheduler_.now() : send.deliver_at,
+                  BatchOfOne(std::move(send.envelope)));
   }
 
   shard.prepared.clear();

@@ -404,6 +404,18 @@ class Network {
   /// per-message cost at scale).
   [[nodiscard]] std::vector<Envelope> AcquireBatchBuffer();
   void ReleaseBatchBuffer(std::vector<Envelope>&& buffer);
+  [[nodiscard]] std::vector<Envelope> BatchOfOne(Envelope envelope);
+
+  // --- In-flight slot table -------------------------------------------
+
+  /// Holds a batch (inter-site wire message or self-delivery) in a slot and
+  /// schedules its delivery. The scheduled closure captures only
+  /// (this, slot), which fits std::function's inline buffer, so scheduling
+  /// allocates nothing and the buffer delivered is the one shipped, which
+  /// then returns to the pool.
+  void ScheduleBatch(SimTime deliver_at, std::vector<Envelope> batch);
+  /// Delivers one in-flight batch and frees its slot (the scheduled action).
+  void DeliverInFlight(std::uint32_t slot);
 
   /// Sweeps every clamp shard for inert entries (delivery time <= now).
   void PurgeInertClampEntries();
@@ -470,6 +482,10 @@ class Network {
   /// Retired batch buffers awaiting reuse (capacity kept, contents cleared).
   std::vector<std::vector<Envelope>> batch_pool_;
   std::uint64_t batch_pool_hits_ = 0;
+  /// In-flight batches by slot (see ScheduleBatch); freed slots are reused
+  /// before the table grows, so it stays as large as the peak in flight.
+  std::vector<std::vector<Envelope>> in_flight_batches_;
+  std::vector<std::uint32_t> free_in_flight_slots_;
   // Chaos overrides (negative / zero = none).
   double drop_override_ = -1.0;
   SimTime extra_latency_ = 0;

@@ -34,11 +34,12 @@ InrefEntry& RefTables::AddInrefSource(ObjectId local_ref, SiteId source,
 }
 
 bool RefTables::RemoveInrefSource(ObjectId local_ref, SiteId source) {
-  InrefEntry* entry = FindInref(local_ref);
-  if (entry == nullptr) return false;
-  if (entry->sources.erase(source) != 0) ++mutation_count_;
-  if (entry->sources.empty()) {
-    inrefs_.erase(local_ref);
+  const auto it = inrefs_.find(local_ref);
+  if (it == inrefs_.end()) return false;
+  InrefEntry& entry = it->second;
+  if (entry.sources.erase(source) != 0) ++mutation_count_;
+  if (entry.sources.empty()) {
+    inrefs_.erase(it);
     return true;
   }
   return false;

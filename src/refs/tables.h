@@ -17,6 +17,7 @@
 #include "common/distance.h"
 #include "common/flat_map.h"
 #include "common/ids.h"
+#include "refs/slab_map.h"
 
 namespace dgc {
 
@@ -138,19 +139,22 @@ struct OutrefEntry {
   }
 };
 
-/// Both tables of one site. Sorted flat maps keep every iteration
-/// deterministic (the same key order std::map gave) while lookups stay
-/// cache-resident at 10^6-object scale.
+/// Both tables of one site. Each is a SlabMap: a sorted (key, slot) index
+/// over a slab of entries, so iteration keeps the key order std::map gave
+/// (and with it every verdict and sweep order), a lookup is a binary search
+/// over the compact index, and an insert or erase shifts index pairs, never
+/// the entries themselves.
 ///
-/// Pointer discipline: Find*/Ensure* return pointers/references that any
-/// later structural mutation of the same table (entry insert or remove)
-/// invalidates. Callers use an entry pointer only within one handler and
-/// never across an insertion — the discipline the call sites were audited
-/// for when the tables moved off std::map.
+/// Pointer discipline: Find*/Ensure* return pointers/references that a
+/// later insert into the same table invalidates (the slab may grow), as
+/// does removing that entry; removing other entries leaves them valid.
+/// Callers use an entry pointer only within one handler and never across an
+/// insertion — the discipline the call sites were audited for when the
+/// tables moved off std::map.
 class RefTables {
  public:
-  using InrefMap = FlatMap<ObjectId, InrefEntry>;
-  using OutrefMap = FlatMap<ObjectId, OutrefEntry>;
+  using InrefMap = SlabMap<ObjectId, InrefEntry>;
+  using OutrefMap = SlabMap<ObjectId, OutrefEntry>;
 
   explicit RefTables(SiteId site, const CollectorConfig& config)
       : site_(site), config_(config) {}
@@ -228,20 +232,20 @@ class RefTables {
 
   // --- Flat-table occupancy / reuse observability ----------------------
   //
-  // The maps never shrink their backing vectors, so sustained churn should
-  // be absorbed by spare capacity rather than fresh allocations. These feed
-  // SiteStats, the metrics CSV, and inspect so a scale run can watch the
-  // tables stop allocating (reuses climbing, grows flat).
+  // The slabs never shrink and freed slots are reused first, so sustained
+  // churn should be absorbed by spare slots rather than fresh allocations.
+  // These feed SiteStats, the metrics CSV, and inspect so a scale run can
+  // watch the tables stop allocating (reuses climbing, grows flat).
 
-  /// Inserts (across both tables) absorbed by spare vector capacity.
+  /// Inserts (across both tables) absorbed by a freed or spare slot.
   [[nodiscard]] std::uint64_t slot_reuses() const {
     return inrefs_.stats().reuses + outrefs_.stats().reuses;
   }
-  /// Inserts (across both tables) that reallocated a backing vector.
+  /// Inserts (across both tables) that reallocated a slab.
   [[nodiscard]] std::uint64_t slot_grows() const {
     return inrefs_.stats().grows + outrefs_.stats().grows;
   }
-  /// Allocated entry slots across both tables (vector capacities).
+  /// Allocated entry slots across both tables (slab capacities).
   [[nodiscard]] std::size_t slot_capacity() const {
     return inrefs_.capacity() + outrefs_.capacity();
   }

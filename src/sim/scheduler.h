@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "common/check.h"
@@ -54,7 +53,7 @@ class Scheduler {
   /// The conservative time-stepped transport engine uses this to pick the
   /// next global timestep across many schedulers.
   [[nodiscard]] SimTime next_event_time() const {
-    return queue_.empty() ? kNoPendingEvent : queue_.top().time;
+    return queue_.empty() ? kNoPendingEvent : queue_.front().time;
   }
 
  private:
@@ -69,7 +68,11 @@ class Scheduler {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary min-heap on (time, seq) under push_heap/pop_heap. A plain
+  /// vector rather than std::priority_queue, whose const top() forces a
+  /// copy of every action (and whatever it captured) on the way out;
+  /// pop_heap parks the earliest event at the back, where it is moved out.
+  std::vector<Event> queue_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -1,7 +1,14 @@
 // Unit tests for the inref/outref tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/check.h"
+#include "common/rng.h"
+#include "refs/slab_map.h"
 #include "refs/tables.h"
 
 namespace dgc {
@@ -126,6 +133,113 @@ TEST_F(RefTablesTest, TablesIterateInDeterministicOrder) {
     previous = ref;
     first = false;
   }
+}
+
+// The ref tables' SlabMap against std::map under random insert, erase,
+// erase_if and find: same contents in the same order after every step,
+// erase_if visiting each entry once in key order, and the slot counters
+// accounting every insert as a reuse or a grow exactly when the slab had or
+// lacked a spare slot.
+TEST(SlabMapTest, MatchesStdMapOnRandomOperations) {
+  using Value = std::vector<std::uint64_t>;  // owns heap memory, like entries
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    SlabMap<ObjectId, Value> slab;
+    std::map<ObjectId, Value> model;
+    std::uint64_t expected_reuses = 0;
+    std::uint64_t expected_grows = 0;
+    std::uint64_t expected_erases = 0;
+    // A small key space so inserts, hits and erases all recur.
+    const auto random_key = [&rng] {
+      return ObjectId{static_cast<SiteId>(rng.NextBelow(3)),
+                      rng.NextBelow(60)};
+    };
+    for (int step = 0; step < 2000; ++step) {
+      const std::uint64_t op = rng.NextBelow(10);
+      if (op < 5) {
+        const ObjectId key = random_key();
+        const std::uint64_t payload = rng.Next();
+        const std::size_t live = slab.size();
+        const std::size_t capacity = slab.capacity();
+        const auto [it, created] = slab.try_emplace(key, Value{payload});
+        const auto [model_it, model_created] =
+            model.try_emplace(key, Value{payload});
+        ASSERT_EQ(created, model_created);
+        EXPECT_EQ(it->first, key);
+        EXPECT_EQ(it->second, model_it->second);
+        if (created) {
+          (live == capacity ? expected_grows : expected_reuses) += 1;
+          EXPECT_GE(slab.capacity(), capacity);
+        }
+      } else if (op < 8) {
+        const ObjectId key = random_key();
+        const std::size_t erased = slab.erase(key);
+        EXPECT_EQ(erased, model.erase(key));
+        expected_erases += erased;
+      } else if (op < 9) {
+        // Remove about a third; bump the payload of every entry kept.
+        std::vector<ObjectId> visited;
+        const std::uint64_t salt = rng.Next();
+        const auto doomed = [salt](const ObjectId& key) {
+          return detail::mix64(salt ^ std::hash<ObjectId>{}(key)) % 3 == 0;
+        };
+        const std::size_t removed = slab.erase_if([&](auto& entry) {
+          visited.push_back(entry.first);
+          if (doomed(entry.first)) return true;
+          entry.second.push_back(salt);
+          return false;
+        });
+        std::vector<ObjectId> model_keys;
+        std::size_t model_removed = 0;
+        for (auto it = model.begin(); it != model.end();) {
+          model_keys.push_back(it->first);
+          if (doomed(it->first)) {
+            it = model.erase(it);
+            ++model_removed;
+          } else {
+            it->second.push_back(salt);
+            ++it;
+          }
+        }
+        EXPECT_EQ(visited, model_keys);  // each entry once, in key order
+        EXPECT_EQ(removed, model_removed);
+        expected_erases += removed;
+      } else {
+        const ObjectId key = random_key();
+        const auto it = slab.find(key);
+        const auto model_it = model.find(key);
+        ASSERT_EQ(it == slab.end(), model_it == model.end());
+        if (model_it != model.end()) EXPECT_EQ(it->second, model_it->second);
+      }
+      ASSERT_EQ(slab.size(), model.size());
+      ASSERT_TRUE(std::equal(slab.begin(), slab.end(), model.begin(),
+                             model.end(), [](const auto& a, const auto& b) {
+                               return a.first == b.first &&
+                                      a.second == b.second;
+                             }))
+          << "diverged at step " << step;
+    }
+    EXPECT_EQ(slab.stats().reuses, expected_reuses);
+    EXPECT_EQ(slab.stats().grows, expected_grows);
+    EXPECT_EQ(slab.stats().inserts, expected_reuses + expected_grows);
+    EXPECT_EQ(slab.stats().erases, expected_erases);
+    EXPECT_GT(expected_reuses, 0u);
+  }
+}
+
+// Entries do not move when other entries come and go, and the table-level
+// slot counters sum both slabs.
+TEST_F(RefTablesTest, EntriesStayPutAcrossErasesAndCountersSumBothTables) {
+  for (std::uint64_t i = 0; i < 8; ++i) tables_.EnsureInref(ObjectId{1, i});
+  InrefEntry* kept = tables_.FindInref(ObjectId{1, 5});
+  for (std::uint64_t i = 0; i < 5; ++i) tables_.RemoveInref(ObjectId{1, i});
+  EXPECT_EQ(tables_.FindInref(ObjectId{1, 5}), kept);
+  const std::uint64_t grows = tables_.slot_grows();
+  for (std::uint64_t i = 0; i < 5; ++i) tables_.EnsureInref(ObjectId{1, 20 + i});
+  EXPECT_EQ(tables_.slot_grows(), grows);  // freed slots taken first
+  tables_.EnsureOutref(remote_);
+  EXPECT_EQ(tables_.slot_reuses() + tables_.slot_grows(), 8u + 5u + 1u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event scheduler.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -90,6 +91,62 @@ TEST(SchedulerTest, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) s.At(i, [] {});
   s.RunUntilIdle();
   EXPECT_EQ(s.events_executed(), 7u);
+}
+
+// A callable that counts its copies. Its copy constructor is not trivial,
+// so std::function stores it on the heap and moving the function never
+// touches the callable: every count here is a real copy of an action.
+struct CopyCountingAction {
+  int* copies;
+  std::vector<int>* runs;
+  std::vector<std::pair<SimTime, int>>* order;
+  const Scheduler* scheduler;
+  int id;
+
+  CopyCountingAction(int* copies_in, std::vector<int>* runs_in,
+                     std::vector<std::pair<SimTime, int>>* order_in,
+                     const Scheduler* scheduler_in, int id_in)
+      : copies(copies_in),
+        runs(runs_in),
+        order(order_in),
+        scheduler(scheduler_in),
+        id(id_in) {}
+  CopyCountingAction(const CopyCountingAction& other)
+      : copies(other.copies),
+        runs(other.runs),
+        order(other.order),
+        scheduler(other.scheduler),
+        id(other.id) {
+    ++*copies;
+  }
+  CopyCountingAction(CopyCountingAction&&) = default;
+
+  void operator()() const {
+    ++(*runs)[id];
+    order->emplace_back(scheduler->now(), id);
+  }
+};
+
+TEST(SchedulerTest, ActionsAreMovedNeverCopied) {
+  Scheduler s;
+  constexpr int kEvents = 1000;
+  int copies = 0;
+  std::vector<int> runs(kEvents, 0);
+  std::vector<std::pair<SimTime, int>> order;
+  for (int i = 0; i < kEvents; ++i) {
+    // Mixed instants, most of them shared by many events: 0..9 interleaved,
+    // plus a run of 100 events all at instant 50.
+    const SimTime t = i % 10 == 3 ? 50 : (i * 7) % 10;
+    s.At(t, CopyCountingAction(&copies, &runs, &order, &s, i));
+  }
+  EXPECT_TRUE(s.RunUntilIdle());
+  EXPECT_EQ(copies, 0);
+  for (int i = 0; i < kEvents; ++i) EXPECT_EQ(runs[i], 1) << "event " << i;
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kEvents));
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    // Time order, and scheduling (FIFO) order at equal instants.
+    EXPECT_LT(order[k - 1], order[k]) << "at position " << k;
+  }
 }
 
 }  // namespace
